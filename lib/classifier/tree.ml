@@ -65,9 +65,11 @@ let classify_count t p = classify_read_count t ~read:(packet_read p)
 let packed_visited_bits = 20
 let packed_visited_max = (1 lsl packed_visited_bits) - 1
 
+let packed k count = ((k + 1) lsl packed_visited_bits) lor count
+
 let rec walk_packet t p target count =
   match target with
-  | Leaf k -> ((k + 1) lsl packed_visited_bits) lor count
+  | Leaf k -> packed k count
   | Node i ->
       let n = t.nodes.(i) in
       let count = if count < packed_visited_max then count + 1 else count in

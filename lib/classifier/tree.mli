@@ -57,6 +57,10 @@ val classify_packed : t -> Oclick_packet.Packet.t -> int
     allocation, for per-packet datapaths. The visited count saturates
     at 2{^20}-1. *)
 
+val packed : int -> int -> int
+(** [packed output visited]: the {!classify_packed} encoding, for other
+    walks of the same tree. *)
+
 val packed_output : int -> int
 val packed_visited : int -> int
 

@@ -13,9 +13,10 @@
       and — when the installed hooks are the no-op {!Hooks.null} ones —
       no hook call at all.
     - {b chain fusion} — elements that implement {!Element.base.fuse}
-      (every [simple_action] element, the classifiers, LookupIPRoute —
-      whose fused body calls the DIR-24-8 trie directly —
-      Queue) contribute their per-packet body directly, so a maximal run
+      (every [simple_action] element, every {!Element.decision} element —
+      the classifiers, the route lookups, the combination elements,
+      whose bodies derive from their one statement — Queue) contribute
+      their per-packet body directly, so a maximal run
       of such elements collapses into one nested closure: a packet
       crosses CheckIPHeader → DecIPTTL → … in straight-line calls.
     - {b compiled classifiers} — classifier dispatch inside compiled

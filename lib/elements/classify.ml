@@ -1,232 +1,76 @@
-(* The generic classification elements. Each compiles its configuration
-   into a decision tree at configure time and *interprets* that tree per
-   packet (paper Fig. 3a) — the behaviour click-fastclassifier replaces
-   with specialized code.
+(* The classification elements. Each states its push path once, as a
+   decision tree (Region.Classify); push, push_batch and the compiled
+   body derive from that statement (Element.decision).
 
-   [register_fast_classifier] installs a generated class whose instances
-   run the closure-compiled tree instead: this is the runtime half of
-   click-fastclassifier, standing in for Click's dynamic linking of
-   generated C++. *)
+   [Classifier], [IPClassifier] and [IPFilter] compile their
+   configuration into a tree at configure time and *interpret* it per
+   packet (paper Fig. 3a) — the behaviour click-fastclassifier replaces
+   with specialized code. [register_fast_classifier] installs a generated
+   class whose instances walk the tool's tree as compiled closures
+   instead: this is the runtime half of click-fastclassifier, standing in
+   for Click's dynamic linking of generated C++. The two kinds differ
+   only in the walk and in the work constructor they charge. *)
 
 open Prelude
 module Tree = Oclick_classifier.Tree
 module Optimize = Oclick_classifier.Optimize
 module Compile = Oclick_classifier.Compile
-module Codegen = Oclick_classifier.Codegen
 
-(* The fused classifier body shared by the tree-interpreting and
-   fast-classifier elements: the decision tree compiled to nested
-   closures (Codegen.closures), each leaf charging the same work the
-   scalar push charges — with the identical visited count, so cost
-   ledgers match the interpreted run exactly — and continuing straight
-   into the compiled connection for its output port. *)
-let fuse_classifier ctx tree ~noutputs ~charge ~on_invalid =
-  let lean = ctx.E.fc_lean_work in
-  let leaf k =
-    let finish =
-      if k >= 0 && k < noutputs then ctx.E.fc_out k else on_invalid
-    in
-    if lean then fun p _visited -> finish p
-    else
-      fun p visited ->
-        charge visited;
-        finish p
-  in
-  Codegen.closures tree ~leaf
-
-class virtual tree_classifier name =
+class tree_classifier cls ~compiled ~build name =
   object (self)
-    inherit E.base name
+    inherit E.decision name
     val mutable tree = Tree.leaf_tree Tree.drop 1
     val mutable dropped = 0
-    val mutable port_scratch : int array = [||]
-    method virtual private build_tree : string -> (Tree.t, string) result
-    method! port_count = "1/-"
-    method! processing = "h/h"
-    method tree = tree
-
-    method! configure config =
-      match self#build_tree config with
-      | Error e -> Error e
-      | Ok t ->
-          tree <- Optimize.optimize t;
-          Ok ()
-
-    method! push _ p =
-      let packed = Tree.classify_packed tree p in
-      let out = Tree.packed_output packed in
-      if not self#lean_work then
-        self#charge (Hooks.W_classify_interp (Tree.packed_visited packed));
-      if out >= 0 && out < self#noutputs then self#output out p
-      else begin
-        dropped <- dropped + 1;
-        self#drop ~reason:"classified to no output" p
-      end
-
-    method! push_batch _ batch =
-      (* Classify the whole batch first (one summed work charge — the
-         cost model is linear in nodes visited), then emit contiguous
-         same-output runs as single transfers. *)
-      let n = Array.length batch in
-      if Array.length port_scratch < n then port_scratch <- Array.make n 0;
-      let ports = port_scratch in
-      let visited_total = ref 0 in
-      for i = 0 to n - 1 do
-        if self#is_quarantined then begin
-          self#drop ~reason:"quarantined element" batch.(i);
-          ports.(i) <- consumed
-        end
-        else
-          match Tree.classify_packed tree batch.(i) with
-          | packed ->
-              visited_total := !visited_total + Tree.packed_visited packed;
-              self#note_ok;
-              ports.(i) <- Tree.packed_output packed
-          | exception e when not (E.fatal e) ->
-              self#record_fault (Printexc.to_string e);
-              self#drop ~reason:"element fault" batch.(i);
-              ports.(i) <- consumed
-      done;
-      if !visited_total > 0 then
-        self#charge (Hooks.W_classify_interp !visited_total);
-      emit_runs self ports batch n ~on_invalid:(fun p ->
-          dropped <- dropped + 1;
-          self#drop ~reason:"classified to no output" p)
-
-    method! fuse ctx =
-      Some
-        (fuse_classifier ctx tree ~noutputs:self#noutputs
-           ~charge:(fun v -> self#charge (Hooks.W_classify_interp v))
-           ~on_invalid:(fun p ->
-             dropped <- dropped + 1;
-             self#drop ~reason:"classified to no output" p))
-
-    method! region_sem =
-      Some
-        (Region.Classify
-           {
-             cl_tree = tree;
-             cl_charge = (fun v -> self#charge (Hooks.W_classify_interp v));
-             cl_invalid =
-               (fun p ->
-                 dropped <- dropped + 1;
-                 self#drop ~reason:"classified to no output" p);
-           })
-
-    method! stats =
-      [
-        ("nodes", Tree.node_count tree);
-        ("depth", Tree.depth tree);
-        ("dropped", dropped);
-      ]
-  end
-
-class classifier name =
-  object
-    inherit tree_classifier name
-    method class_name = "Classifier"
-    method private build_tree config =
-      Oclick_classifier.Pattern.tree_of_config config
-  end
-
-class ip_classifier name =
-  object
-    inherit tree_classifier name
-    method class_name = "IPClassifier"
-    method private build_tree config =
-      Oclick_classifier.Filter.ipclassifier_tree config
-  end
-
-class ip_filter name =
-  object
-    inherit tree_classifier name
-    method class_name = "IPFilter"
-    method private build_tree config =
-      Oclick_classifier.Filter.ipfilter_tree config
-  end
-
-(* A FastClassifier instance: the tree is already built and optimized by
-   the tool; classification runs compiled closures. *)
-class fast_classifier cls name (t : Tree.t) =
-  object (self)
-    inherit E.base name
-    val compiled = Compile.compile_count t
-    val mutable dropped = 0
-    val mutable port_scratch : int array = [||]
     method class_name = cls
     method! port_count = "1/-"
     method! processing = "h/h"
-    method! configure _ = Ok () (* the tree is baked in *)
 
-    method! push _ p =
-      let out, visited = compiled ~read:(Tree.packet_read p) in
-      if not self#lean_work then
-        self#charge (Hooks.W_classify_compiled visited);
-      if out >= 0 && out < self#noutputs then self#output out p
-      else begin
-        dropped <- dropped + 1;
-        self#drop ~reason:"classified to no output" p
-      end
-
-    method! push_batch _ batch =
-      let n = Array.length batch in
-      if Array.length port_scratch < n then port_scratch <- Array.make n 0;
-      let ports = port_scratch in
-      let visited_total = ref 0 in
-      for i = 0 to n - 1 do
-        if self#is_quarantined then begin
-          self#drop ~reason:"quarantined element" batch.(i);
-          ports.(i) <- consumed
-        end
-        else
-          match compiled ~read:(Tree.packet_read batch.(i)) with
-          | out, visited ->
-              visited_total := !visited_total + visited;
-              self#note_ok;
-              ports.(i) <- out
-          | exception e when not (E.fatal e) ->
-              self#record_fault (Printexc.to_string e);
-              self#drop ~reason:"element fault" batch.(i);
-              ports.(i) <- consumed
-      done;
-      if !visited_total > 0 then
-        self#charge (Hooks.W_classify_compiled !visited_total);
-      emit_runs self ports batch n ~on_invalid:(fun p ->
-          dropped <- dropped + 1;
-          self#drop ~reason:"classified to no output" p)
-
-    method! fuse ctx =
-      Some
-        (fuse_classifier ctx t ~noutputs:self#noutputs
-           ~charge:(fun v -> self#charge (Hooks.W_classify_compiled v))
-           ~on_invalid:(fun p ->
-             dropped <- dropped + 1;
-             self#drop ~reason:"classified to no output" p))
-
-    method! region_sem =
-      Some
+    method private set_tree t =
+      tree <- t;
+      let walk, work =
+        if compiled then
+          let f = Compile.compile_count t in
+          ( (fun p ->
+              let out, visited = f ~read:(Tree.packet_read p) in
+              Tree.packed out visited),
+            fun v -> Hooks.W_classify_compiled v )
+        else (Tree.classify_packed t, fun v -> Hooks.W_classify_interp v)
+      in
+      self#state
         (Region.Classify
            {
              cl_tree = t;
-             cl_charge = (fun v -> self#charge (Hooks.W_classify_compiled v));
+             cl_walk = walk;
+             cl_charge = (fun v -> self#charge (work v));
              cl_invalid =
                (fun p ->
                  dropped <- dropped + 1;
                  self#drop ~reason:"classified to no output" p);
            })
 
+    initializer self#set_tree tree
+    method! configure config = Result.map self#set_tree (build config)
+
     method! stats =
-      [ ("nodes", Tree.node_count t); ("dropped", dropped) ]
+      (("nodes", Tree.node_count tree)
+      :: (if compiled then [] else [ ("depth", Tree.depth tree) ]))
+      @ [ ("dropped", dropped) ]
   end
 
+let interpreted cls build =
+  def cls ~ports:"1/-" ~processing:"h/h" (fun n ->
+      (new tree_classifier cls ~compiled:false n ~build:(fun config ->
+           Result.map Optimize.optimize (build config))
+        :> E.t))
+
+(* A FastClassifier instance: the tree is already built and optimized by
+   the tool, and is baked in. *)
 let register_fast_classifier ~class_name (t : Tree.t) =
   def ~replace:true ~ports:"1/-" ~processing:"h/h" class_name (fun n ->
-      (new fast_classifier class_name n t :> E.t))
+      (new tree_classifier class_name ~compiled:true n ~build:(fun _ -> Ok t)
+        :> E.t))
 
 let register () =
-  def "Classifier" ~ports:"1/-" ~processing:"h/h" (fun n ->
-      (new classifier n :> E.t));
-  def "IPClassifier" ~ports:"1/-" ~processing:"h/h" (fun n ->
-      (new ip_classifier n :> E.t));
-  def "IPFilter" ~ports:"1/-" ~processing:"h/h" (fun n ->
-      (new ip_filter n :> E.t))
+  interpreted "Classifier" Oclick_classifier.Pattern.tree_of_config;
+  interpreted "IPClassifier" Oclick_classifier.Filter.ipclassifier_tree;
+  interpreted "IPFilter" Oclick_classifier.Filter.ipfilter_tree

@@ -14,7 +14,7 @@ module Ip = Headers.Ip
    Output 0: valid IP packets; output 1 (optional): header rejects. *)
 class ip_input_combo name =
   object (self)
-    inherit E.base name
+    inherit E.decision name
     val mutable color = 0
     val mutable bad_src : Ipaddr.t list = []
     val mutable drops = 0
@@ -52,36 +52,18 @@ class ip_input_combo name =
       && Ip.total_length p >= Ip.header_length p
       && Ip.total_length p <= Packet.length p
       && begin
-           self#charge (Hooks.W_checksum (Ip.header_length p));
+           if not self#lean_work then
+             self#charge (Hooks.W_checksum (Ip.header_length p));
            Ip.checksum_valid p
          end
       && not (List.mem (Ip.src p) bad_src)
 
-    method! push _ p =
-      let anno = Packet.anno p in
-      anno.Packet.paint <- color;
-      if Packet.length p < 14 then self#drop ~reason:"no link header" p
-      else begin
-        Packet.pull p 14;
-        if self#header_ok p then begin
-          let excess = Packet.length p - Ip.total_length p in
-          if excess > 0 then Packet.take p excess;
-          anno.Packet.dst_ip <- Packet.get_u32 p 16;
-          self#output 0 p
-        end
-        else begin
-          drops <- drops + 1;
-          if self#noutputs > 1 then self#output 1 p
-          else self#drop ~reason:"bad IP header" p
-        end
-      end
-
-    method! region_sem =
-      (* The combo behaves as one guard: paint, pull the link header
-         (hence the 14-byte shift for hoisted downstream tests), check,
-         trim padding (hence the barrier), extract the address. Failures
-         divert through output 1 / accounted drops, exactly as [push]. *)
-      Some
+    (* One guard: paint, pull the link header (hence the 14-byte shift
+       for hoisted downstream tests), check, trim padding (hence the
+       barrier), extract the address. Failures divert through output 1
+       or become accounted drops. *)
+    initializer
+      self#state
         (Region.Guard
            {
              gd_shift = 14;
@@ -120,7 +102,7 @@ class ip_input_combo name =
    Outputs: 0 forward, 1 redirect clone, 2 bad options, 3 TTL expired. *)
 class ip_output_combo name =
   object (self)
-    inherit E.base name
+    inherit E.decision name
     val mutable color = 0
     val mutable my_addr = 0
     val mutable drops = 0
@@ -163,38 +145,11 @@ class ip_output_combo name =
       if port < self#noutputs then self#output port p
       else self#drop ~reason p
 
-    method! push _ p =
-      let anno = Packet.anno p in
-      match anno.Packet.link_type with
-      | Packet.Broadcast | Packet.Multicast ->
-          self#drop ~reason:"link-level broadcast" p
-      | Packet.To_host | Packet.To_other ->
-          if anno.Packet.paint = color && self#noutputs > 1 then begin
-            let c = Packet.clone p in
-            self#spawn c;
-            self#output 1 c
-          end;
-          if not (self#options_ok p) then self#reject 2 "bad IP options" p
-          else begin
-            if anno.Packet.fix_ip_src then begin
-              anno.Packet.fix_ip_src <- false;
-              Ip.set_src p my_addr;
-              self#charge (Hooks.W_checksum (Ip.header_length p));
-              Ip.update_checksum p
-            end;
-            if Ip.ttl p <= 1 then self#reject 3 "TTL expired" p
-            else begin
-              Ip.decrement_ttl p;
-              self#output 0 p
-            end
-          end
-
-    method! region_sem =
-      (* Barrier: the source rewrite and TTL decrement change header
-         bytes, so no downstream tree test may be hoisted above this
-         stage. Rejects divert through side outputs / accounted drops,
-         exactly as [push]. *)
-      Some
+    (* A barrier: the source rewrite and TTL decrement change header
+       bytes, so no downstream tree test may be hoisted above this stage.
+       Rejects divert through side outputs or become accounted drops. *)
+    initializer
+      self#state
         (Region.Guard
            {
              gd_shift = 0;
@@ -220,7 +175,8 @@ class ip_output_combo name =
                        if anno.Packet.fix_ip_src then begin
                          anno.Packet.fix_ip_src <- false;
                          Ip.set_src p my_addr;
-                         self#charge (Hooks.W_checksum (Ip.header_length p));
+                         if not self#lean_work then
+                           self#charge (Hooks.W_checksum (Ip.header_length p));
                          Ip.update_checksum p
                        end;
                        if Ip.ttl p <= 1 then begin

@@ -68,10 +68,9 @@ let parse_table cls config =
    W_lookup charges the number of entries scanned. *)
 class linear_ip_lookup name =
   object (self)
-    inherit E.base name
+    inherit E.decision name
     val mutable routes : route array = [||]
     val mutable misses = 0
-    val mutable port_scratch : int array = [||]
     method class_name = "LinearIPLookup"
     method! port_count = "1/-"
     method! processing = "h/h"
@@ -84,9 +83,6 @@ class linear_ip_lookup name =
              match. *)
           let more_specific a b = Int.compare b.rt_mask a.rt_mask in
           routes <- Array.of_list (List.stable_sort more_specific rs);
-          (* Live table swap: drop batch scratch sized for the old
-             table's traffic so stale dimensions can't leak. *)
-          port_scratch <- [||];
           Ok ()
 
     (* Per-packet scans return the matching index (-1 = miss) rather
@@ -102,103 +98,26 @@ class linear_ip_lookup name =
       in
       go 0
 
-    method! push _ p =
-      let dst = (Packet.anno p).Packet.dst_ip in
-      match self#scan dst with
-      | -1 ->
-          if not self#lean_work then
-            self#charge (Hooks.W_lookup (Array.length routes));
-          misses <- misses + 1;
-          self#drop ~reason:"no route" p
-      | i ->
-          let r = routes.(i) in
-          if not self#lean_work then self#charge (Hooks.W_lookup (i + 1));
-          if r.rt_gw <> 0 then (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-          if r.rt_port < self#noutputs then self#output r.rt_port p
-          else self#drop ~reason:"route to unconnected port" p
-
-    method! push_batch _ batch =
-      (* Look the whole batch up first (one summed W_lookup charge —
-         entries scanned is additive), rewriting gateway annotations as
-         we go, then emit contiguous same-port runs as single
-         transfers. *)
-      let bn = Array.length batch in
-      if Array.length port_scratch < bn then port_scratch <- Array.make bn 0;
-      let ports = port_scratch in
-      let n = Array.length routes in
-      let scanned_total = ref 0 in
-      for i = 0 to bn - 1 do
-        let p = batch.(i) in
-        if self#is_quarantined then begin
-          self#drop ~reason:"quarantined element" p;
-          ports.(i) <- consumed
-        end
-        else begin
-          let dst = (Packet.anno p).Packet.dst_ip in
-          match self#scan dst with
-          | -1 ->
-              scanned_total := !scanned_total + n;
-              misses <- misses + 1;
-              self#drop ~reason:"no route" p;
-              ports.(i) <- consumed
-          | j ->
-              let r = routes.(j) in
-              scanned_total := !scanned_total + j + 1;
-              self#note_ok;
-              if r.rt_gw <> 0 then (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-              ports.(i) <- r.rt_port
-        end
-      done;
-      if !scanned_total > 0 then self#charge (Hooks.W_lookup !scanned_total);
-      emit_runs self ports batch bn ~on_invalid:(fun p ->
-          self#drop ~reason:"route to unconnected port" p)
-
-    method! fuse ctx =
-      (* The scalar push, with each route's output port resolved to its
-         compiled connection up front. The W_lookup charge (identical
-         scanned counts) is kept whenever the hooks might read it. *)
-      let nout = self#noutputs in
-      let outs = Array.init nout ctx.E.fc_out in
-      let lean = ctx.E.fc_lean_work in
-      Some
-        (fun p ->
-          let dst = (Packet.anno p).Packet.dst_ip in
-          match self#scan dst with
-          | -1 ->
-              if not lean then
-                self#charge (Hooks.W_lookup (Array.length routes));
-              misses <- misses + 1;
-              self#drop ~reason:"no route" p
-          | i ->
-              let r = routes.(i) in
-              if not lean then self#charge (Hooks.W_lookup (i + 1));
-              if r.rt_gw <> 0 then (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-              if r.rt_port < nout then outs.(r.rt_port) p
-              else self#drop ~reason:"route to unconnected port" p)
-
-    method! region_sem =
-      (* The same scalar lookup as [fuse], as a fused-region leaf: the
-         region's action dispatches on the returned port, so the closure
-         only decides, rewrites the gateway annotation, and accounts
-         misses/unconnected drops itself (returning -1 when the packet
-         was consumed). Reads [routes] per call, so live adds/removes
-         stay visible to fused graphs. *)
-      Some
+    (* The one statement of the lookup: scan, report the entries
+       scanned, rewrite the gateway annotation, account misses and
+       unconnected-port drops. Reads [routes] per call, so live adds and
+       removes stay visible to compiled and fused graphs. *)
+    initializer
+      self#state
         (Region.Route
            {
+             rt_charge = (fun n -> self#charge (Hooks.W_lookup n));
              rt_make =
-               (fun ~lean_work p ->
-                 let dst = (Packet.anno p).Packet.dst_ip in
-                 match self#scan dst with
+               (fun ~charge p ->
+                 match self#scan (Packet.anno p).Packet.dst_ip with
                  | -1 ->
-                     if not lean_work then
-                       self#charge (Hooks.W_lookup (Array.length routes));
+                     charge (Array.length routes);
                      misses <- misses + 1;
                      self#drop ~reason:"no route" p;
                      -1
                  | i ->
                      let r = routes.(i) in
-                     if not lean_work then self#charge (Hooks.W_lookup (i + 1));
+                     charge (i + 1);
                      if r.rt_gw <> 0 then
                        (Packet.anno p).Packet.dst_ip <- r.rt_gw;
                      if r.rt_port < self#noutputs then r.rt_port
@@ -242,9 +161,6 @@ class linear_ip_lookup name =
                       [| r |];
                       Array.sub routes !pos (n - !pos);
                     ];
-                (* Live table swap: as in [configure], drop batch scratch
-                   so stale dimensions can't leak across the update. *)
-                port_scratch <- [||];
                 Ok ()
               end)
       | "remove" -> (
@@ -265,7 +181,6 @@ class linear_ip_lookup name =
                 Error (Printf.sprintf "%s: no such route" self#class_name)
               else begin
                 routes <- keep;
-                port_scratch <- [||];
                 Ok ()
               end)
       | h -> Error (Printf.sprintf "%s: no write handler %S" name h)
@@ -287,10 +202,9 @@ module Lpm = Oclick_lpm.Dir24_8
    write handlers. *)
 class trie_ip_lookup cls name =
   object (self)
-    inherit E.base name
+    inherit E.decision name
     val mutable trie = Lpm.create ~stride1:16 ()
     val mutable misses = 0
-    val mutable port_scratch : int array = [||]
     val mutable dst_scratch : int array = [||]
     val mutable nh_scratch : int array = [||]
     method class_name = cls
@@ -333,113 +247,21 @@ class trie_ip_lookup cls name =
                     (Lpm.add t ~addr:r.rt_addr ~len ~gw:r.rt_gw ~port:r.rt_port))
                 routes;
               trie <- t;
-              (* Live table swap: drop scratch sized for the old table's
-                 traffic so stale dimensions can't leak. *)
-              port_scratch <- [||];
-              dst_scratch <- [||];
-              nh_scratch <- [||];
               Ok ())
 
-    method! push _ p =
-      let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
-      let r = Lpm.lookup trie dst in
-      self#charge (Hooks.W_lookup (Lpm.result_touches r));
-      if Lpm.result_found r then begin
-        let nh = Lpm.result_nh r in
-        let gw = Lpm.gw trie nh in
-        if gw <> 0 then (Packet.anno p).Packet.dst_ip <- gw;
-        let port = Lpm.port trie nh in
-        if port < self#noutputs then self#output port p
-        else self#drop ~reason:"route to unconnected port" p
-      end
-      else begin
-        misses <- misses + 1;
-        self#drop ~reason:"no route" p
-      end
-
-    method! push_batch _ batch =
-      let bn = Array.length batch in
-      if self#is_quarantined then
-        (* The flag is stable for the duration of a batch, and the scalar
-           path never reaches [push] (hence never charges W_lookup) when
-           quarantined — so neither does this one. *)
-        for i = 0 to bn - 1 do
-          self#drop ~reason:"quarantined element" batch.(i)
-        done
-      else begin
-        if Array.length port_scratch < bn then begin
-          port_scratch <- Array.make bn 0;
-          dst_scratch <- Array.make bn 0;
-          nh_scratch <- Array.make bn 0
-        end;
-        let ports = port_scratch in
-        for i = 0 to bn - 1 do
-          dst_scratch.(i) <- (Packet.anno batch.(i)).Packet.dst_ip land 0xffff_ffff
-        done;
-        (* Two-pass batched walk: same results and touch counts as bn
-           scalar lookups, charged as one summed W_lookup. *)
-        let touches = Lpm.lookup_batch trie dst_scratch nh_scratch bn in
-        for i = 0 to bn - 1 do
-          let nh = nh_scratch.(i) in
-          if nh < 0 then begin
-            misses <- misses + 1;
-            self#drop ~reason:"no route" batch.(i);
-            ports.(i) <- consumed
-          end
-          else begin
-            self#note_ok;
-            let gw = Lpm.gw trie nh in
-            if gw <> 0 then (Packet.anno batch.(i)).Packet.dst_ip <- gw;
-            ports.(i) <- Lpm.port trie nh
-          end
-        done;
-        if touches > 0 then self#charge (Hooks.W_lookup touches);
-        emit_runs self ports batch bn ~on_invalid:(fun p ->
-            self#drop ~reason:"route to unconnected port" p)
-      end
-
-    method! fuse ctx =
-      (* The compiled decision closure: the fused body calls the trie
-         directly, with output ports pre-resolved to compiled
-         connections. The closure captures the element (not the trie
-         binding), so live adds/removes — and even a stride upgrade that
-         rebinds [trie] — stay visible to compiled graphs. *)
-      let nout = self#noutputs in
-      let outs = Array.init nout ctx.E.fc_out in
-      let lean = ctx.E.fc_lean_work in
-      Some
-        (fun p ->
-          let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
-          let r = Lpm.lookup trie dst in
-          if not lean then self#charge (Hooks.W_lookup (Lpm.result_touches r));
-          if Lpm.result_found r then begin
-            let nh = Lpm.result_nh r in
-            let gw = Lpm.gw trie nh in
-            if gw <> 0 then (Packet.anno p).Packet.dst_ip <- gw;
-            let port = Lpm.port trie nh in
-            if port < nout then outs.(port) p
-            else self#drop ~reason:"route to unconnected port" p
-          end
-          else begin
-            misses <- misses + 1;
-            self#drop ~reason:"no route" p
-          end)
-
-    method! region_sem =
-      (* As [fuse], but as a fused-region leaf: decide, rewrite the
-         gateway annotation, account misses and unconnected drops,
-         return the port (-1 when consumed). Captures the element, not
-         the trie binding, so live adds/removes and stride upgrades stay
-         visible. *)
-      Some
+    (* The one statement of the lookup. It captures the element, not
+       the trie binding, so live adds and removes — and a stride upgrade
+       that rebinds [trie] — stay visible to compiled and fused graphs. *)
+    initializer
+      self#state
         (Region.Route
            {
+             rt_charge = (fun n -> self#charge (Hooks.W_lookup n));
              rt_make =
-               (fun ~lean_work p ->
+               (fun ~charge p ->
                  let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
                  let r = Lpm.lookup trie dst in
-                 if not lean_work then
-                   self#charge (Hooks.W_lookup (Lpm.result_touches r));
+                 charge (Lpm.result_touches r);
                  if Lpm.result_found r then begin
                    let nh = Lpm.result_nh r in
                    let gw = Lpm.gw trie nh in
@@ -457,6 +279,49 @@ class trie_ip_lookup cls name =
                    -1
                  end);
            })
+
+    (* The one hand-written form: Lpm.lookup_batch's two-pass walk is a
+       different algorithm from the statement's scalar lookup, with the
+       same results and touch counts. *)
+    method! push_batch _ batch =
+      let bn = Array.length batch in
+      if self#is_quarantined then
+        (* The flag is stable for the duration of a batch, and the scalar
+           path never reaches [push] (hence never charges W_lookup) when
+           quarantined — so neither does this one. *)
+        for i = 0 to bn - 1 do
+          self#drop ~reason:"quarantined element" batch.(i)
+        done
+      else begin
+        let ports = self#ports bn in
+        if Array.length dst_scratch < bn then begin
+          dst_scratch <- Array.make bn 0;
+          nh_scratch <- Array.make bn 0
+        end;
+        for i = 0 to bn - 1 do
+          dst_scratch.(i) <- (Packet.anno batch.(i)).Packet.dst_ip land 0xffff_ffff
+        done;
+        (* Two-pass batched walk: same results and touch counts as bn
+           scalar lookups, charged as one summed W_lookup. *)
+        let touches = Lpm.lookup_batch trie dst_scratch nh_scratch bn in
+        for i = 0 to bn - 1 do
+          let nh = nh_scratch.(i) in
+          if nh < 0 then begin
+            misses <- misses + 1;
+            self#drop ~reason:"no route" batch.(i);
+            ports.(i) <- E.consumed
+          end
+          else begin
+            self#note_ok;
+            let gw = Lpm.gw trie nh in
+            if gw <> 0 then (Packet.anno batch.(i)).Packet.dst_ip <- gw;
+            ports.(i) <- Lpm.port trie nh
+          end
+        done;
+        if touches > 0 then self#charge (Hooks.W_lookup touches);
+        self#emit_runs ports batch bn ~on_invalid:(fun p ->
+            self#drop ~reason:"route to unconnected port" p)
+      end
 
     (* Live table updates, Click-handler style:
          write rt.add "18.26.4.0/24 [GW] PORT"
@@ -480,12 +345,6 @@ class trie_ip_lookup cls name =
                       Error (Printf.sprintf "%s: duplicate route" cls)
                   | `Added ->
                       self#upgrade_stride_if_needed;
-                      (* Live table swap: as in [configure], drop batch
-                         scratch so dimensions sized for the old table
-                         can't leak across the update. *)
-                      port_scratch <- [||];
-                      dst_scratch <- [||];
-                      nh_scratch <- [||];
                       Ok ())))
       | "remove" -> (
           match Ipaddr.parse_prefix value with
@@ -494,17 +353,10 @@ class trie_ip_lookup cls name =
               match Ipaddr.prefix_length_of_netmask mask with
               | None -> Error (Printf.sprintf "%s: non-contiguous netmask" cls)
               | Some len ->
-                  if Lpm.remove trie ~addr:(addr land mask) ~len then begin
-                    (* A removed prefix must fall through to the next
-                       less-specific route (or a clean miss) immediately;
-                       dropping the scratch arrays guarantees no batch
-                       path can resurrect ports computed against the old
-                       table. *)
-                    port_scratch <- [||];
-                    dst_scratch <- [||];
-                    nh_scratch <- [||];
-                    Ok ()
-                  end
+                  (* A removed prefix falls through to the next
+                     less-specific route (or a clean miss) on the very
+                     next lookup. *)
+                  if Lpm.remove trie ~addr:(addr land mask) ~len then Ok ()
                   else Error (Printf.sprintf "%s: no such route" cls)))
       | h -> Error (Printf.sprintf "%s: no write handler %S" name h)
 

@@ -359,24 +359,24 @@ let build ctx entry =
                   let reason = Printf.sprintf "unconnected output %d" port in
                   fun p -> (el j)#drop ~reason p
               | X_route j -> (
-                  match (el j)#region_sem with
-                  | Some (Region.Route { rt_make }) ->
-                      let lookup = rt_make ~lean_work:ctx.fd_lean_work in
-                      let nout = (el j)#noutputs in
-                      let outs =
-                        Array.init nout (fun port -> ctx.fd_conn j port)
+                  (* The route element's own compiled body (derived from
+                     the same statement), under the connection's
+                     containment. *)
+                  match
+                    (el j)#fuse
+                      {
+                        Element.fc_out = ctx.fd_conn j;
+                        fc_lean_work = ctx.fd_lean_work;
+                      }
+                  with
+                  | Some f ->
+                      let run =
+                        contain j (fun p ->
+                            f p;
+                            true)
                       in
-                      let dst = el j in
-                      let _, consec = dst#degrade_cells in
-                      fun p -> (
-                        match lookup p with
-                        | port ->
-                            consec := 0;
-                            if port >= 0 then outs.(port) p
-                        | exception e when not (Element.fatal e) ->
-                            dst#record_fault (Printexc.to_string e);
-                            dst#drop ~reason:"element fault" p)
-                  | _ -> assert false)
+                      fun p -> ignore (run p)
+                  | None -> assert false)
               | X_none -> fun _ -> ()
             in
             let compile_action (ops, exitk) =

@@ -584,4 +584,160 @@ class virtual simple_action (name : string) =
               match self#action p with Some q -> k q | None -> ()))
   end
 
+(* Sentinel port for a packet its statement already consumed (dropped or
+   diverted); run emission skips it. *)
+let consumed = min_int
+
+module Tree = Oclick_classifier.Tree
+
+class virtual decision (name : string) =
+  object (self)
+    inherit base name as super
+
+    (* The statement and its derived per-packet steps, rebuilt together
+       by [state]. A step performs the statement's effect, reports its
+       work count to a sink, and answers the output port — [consumed]
+       when the statement dropped or diverted the packet, out of range
+       when the packet belongs to [invalid]. The three steps differ only
+       in the sink: none (lean hooks), the element's charge, or the
+       per-batch sum. *)
+    val mutable sem = Region.Mutate ignore
+    val mutable step_lean : Oclick_packet.Packet.t -> int = fun _ -> 0
+    val mutable step_charged : Oclick_packet.Packet.t -> int = fun _ -> 0
+    val mutable step_summed : Oclick_packet.Packet.t -> int = fun _ -> 0
+    val mutable work : int -> unit = ignore
+    val mutable invalid : Oclick_packet.Packet.t -> unit = ignore
+    val summed = ref 0
+
+    (* Grow-only: every slot below the batch length is written before it
+       is read, so a table swap cannot leak stale ports. *)
+    val mutable port_scratch : int array = [||]
+
+    method private state s =
+      let step charge =
+        match s with
+        | Region.Classify { cl_walk; _ } ->
+            fun p ->
+              let packed = cl_walk p in
+              charge (Tree.packed_visited packed);
+              Tree.packed_output packed
+        | Region.Route { rt_make; _ } ->
+            let lookup = rt_make ~charge in
+            fun p ->
+              let port = lookup p in
+              if port < 0 then consumed else port
+        | Region.Guard { gd_run; _ } ->
+            fun p -> if gd_run p then 0 else consumed
+        | Region.Set_paint _ | Region.Mutate _ | Region.Paint_switch _ ->
+            invalid_arg (name ^ ": not a decision statement")
+      in
+      sem <- s;
+      step_lean <- step ignore;
+      step_summed <- step (fun n -> summed := !summed + n);
+      (work <-
+         match s with
+         | Region.Classify { cl_charge; _ } -> cl_charge
+         | Region.Route { rt_charge; _ } -> rt_charge
+         | _ -> ignore);
+      step_charged <- step work;
+      invalid <-
+        (match s with
+        | Region.Classify { cl_invalid; _ } -> cl_invalid
+        | _ -> fun p -> self#output 0 p (* only port 0 can be out of range *))
+
+    method! region_sem = Some sem
+
+    method! push _ p =
+      let port = (if lean_work then step_lean else step_charged) p in
+      if port >= 0 && port < Array.length out_targets then self#output port p
+      else if port <> consumed then invalid p
+
+    method private ports n =
+      if Array.length port_scratch < n then port_scratch <- Array.make n 0;
+      port_scratch
+
+    (* Forward contiguous same-port runs of a decided batch as single
+       batched transfers. *)
+    method private emit_runs ports (batch : Oclick_packet.Packet.t array) n
+        ~on_invalid =
+      let nout = Array.length out_targets in
+      let i = ref 0 in
+      while !i < n do
+        let port = ports.(!i) in
+        let j = ref (!i + 1) in
+        while !j < n && ports.(!j) = port do
+          incr j
+        done;
+        let len = !j - !i in
+        if port = consumed then ()
+        else if port >= 0 && port < nout then begin
+          if len = 1 then self#output port batch.(!i)
+          else if !i = 0 && len = Array.length batch then
+            self#output_batch port batch
+          else self#output_batch port (Array.sub batch !i len)
+        end
+        else
+          for k = !i to !j - 1 do
+            on_invalid batch.(k)
+          done;
+        i := !j
+      done
+
+    (* Classifications and lookups decide the whole batch first, charge
+       the summed work once (the cost model is linear in it), then emit
+       runs. Other statements may divert packets down side outputs while
+       they run, so they keep the scalar loop and its transfer order. *)
+    method! push_batch port batch =
+      match sem with
+      | Region.Classify _ | Region.Route _ ->
+          let n = Array.length batch in
+          let ports = self#ports n in
+          summed := 0;
+          for i = 0 to n - 1 do
+            let p = batch.(i) in
+            if !quarantined then begin
+              self#drop ~reason:"quarantined element" p;
+              ports.(i) <- consumed
+            end
+            else
+              match step_summed p with
+              | port ->
+                  consecutive_faults := 0;
+                  ports.(i) <- port
+              | exception e when not (fatal e) ->
+                  self#record_fault (Printexc.to_string e);
+                  self#drop ~reason:"element fault" p;
+                  ports.(i) <- consumed
+          done;
+          if !summed > 0 then work !summed;
+          self#emit_runs ports batch n ~on_invalid:invalid
+      | _ -> super#push_batch port batch
+
+    (* [push] with each output resolved to its compiled connection. A
+       classifier's tree becomes nested closures (shared subtrees
+       compiled once), each leaf charging the visited count the walk
+       would have counted. *)
+    method! fuse ctx =
+      let nout = self#noutputs in
+      match sem with
+      | Region.Classify { cl_tree; cl_charge; cl_invalid; _ } ->
+          Some
+            (Oclick_classifier.Codegen.closures cl_tree ~leaf:(fun k ->
+                 let finish =
+                   if k >= 0 && k < nout then ctx.fc_out k else cl_invalid
+                 in
+                 if ctx.fc_lean_work then fun p _ -> finish p
+                 else fun p visited ->
+                   cl_charge visited;
+                   finish p))
+      | _ ->
+          let step = if ctx.fc_lean_work then step_lean else step_charged in
+          let outs = Array.init nout ctx.fc_out in
+          Some
+            (fun p ->
+              let port = step p in
+              if port >= 0 && port < nout then outs.(port) p
+              else if port <> consumed then invalid p)
+  end
+
 let configure_error msg = Error msg

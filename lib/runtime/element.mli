@@ -168,7 +168,8 @@ class virtual base : string -> object
 
   method push_batch : int -> Oclick_packet.Packet.t array -> unit
   (** Process a whole batch arriving on a port. Default: loops the
-      scalar {!push} with per-packet fault containment. *)
+      scalar {!push} with per-packet fault containment. A {!decision}
+      element derives it from its statement instead. *)
 
   method pull_batch : int -> Oclick_packet.Packet.t array -> int
   (** Fill-style batched pull: write up to [Array.length dst] packets
@@ -191,19 +192,21 @@ class virtual base : string -> object
       dispatch with direct-call closures. [fuse] is the element's side of
       the bargain: return a closure with exactly the semantics of [push]
       (for {e any} input port), transferring downstream through
-      [ctx.fc_out] instead of {!output}. Elements whose [push] is
-      port-sensitive, stateful across ports, or otherwise not expressible
-      this way keep the default ([None]) and the compiler falls back to
-      dynamic dispatch into them — compilation never changes semantics,
-      only the call path. *)
+      [ctx.fc_out] instead of {!output}. A {!decision} element never
+      writes one: its [fuse] is derived from its statement. Elements
+      whose [push] is port-sensitive, stateful across ports, or
+      otherwise not expressible this way keep the default ([None]) and
+      the compiler falls back to dynamic dispatch into them —
+      compilation never changes semantics, only the call path. *)
 
   method fuse : fuse_ctx -> (Oclick_packet.Packet.t -> unit) option
   (** Default [None]: not fusable, the compiler calls [push] dynamically. *)
 
   method region_sem : Region.sem option
   (** The element's push semantics in match-action terms, for the FDD
-      cross-element fusion pass (see {!Region}). Default [None]: the
-      element is opaque to fusion and ends any region reaching it. *)
+      cross-element fusion pass (see {!Region}); a {!decision} element's
+      one statement. Default [None]: the element is opaque to fusion and
+      ends any region reaching it. *)
 
   method set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->
@@ -347,6 +350,58 @@ class virtual simple_action : string -> object
   (** The delegation body for in-place elements' [action]: runs
       {!inplace} and boxes its verdict, for callers that need the option
       form. *)
+end
+
+val consumed : int
+(** Sentinel output port for a packet its element already consumed
+    (dropped or diverted): {!decision}'s run emission skips it. *)
+
+(** A decision element: a classifier, a route lookup, a combination
+    element — an element whose push path is stated once as a
+    {!Region.Classify}, {!Region.Route} or {!Region.Guard} statement
+    (the other statements belong to [simple_action] elements, which
+    derive their forms from [action]; [state] rejects them). The element
+    calls [state] with its statement (once at
+    construction, and again whenever configure or a table update
+    changes it) and writes configure, stats and handlers; nothing else.
+    This class derives everything that runs packets from the statement:
+
+    - [push]: perform the statement, charging its work unless the hooks
+      are lean, and continue on the output it answers;
+    - [push_batch]: for a classification or a lookup, decide the whole
+      batch, charge the summed work once, and forward same-output runs
+      as single batched transfers; other statements loop the scalar
+      [push] (they may divert packets down side outputs mid-statement);
+    - [fuse]: [push] over compiled connections — for a classification,
+      the tree compiled to nested closures
+      ({!Oclick_classifier.Codegen.closures});
+    - [region_sem]: the statement itself, for the FDD pass.
+
+    The forms are equivalent by construction — one statement, one
+    derivation — and the differential suites check it mode by mode. *)
+class virtual decision : string -> object
+  inherit base
+
+  method private state : Region.sem -> unit
+  (** Install the element's statement and rebuild the derived per-packet
+      steps from it. Never per packet: closures in the statement read
+      live element state (a route table, a configured color) by
+      themselves. *)
+
+  method private ports : int -> int array
+  (** The grow-only per-element port scratch, at least [n] slots, for a
+      hand-written [push_batch] kernel (see {!emit_runs}). *)
+
+  method private emit_runs :
+    int array ->
+    Oclick_packet.Packet.t array ->
+    int ->
+    on_invalid:(Oclick_packet.Packet.t -> unit) ->
+    unit
+  (** [emit_runs ports batch n ~on_invalid] forwards the first [n]
+      packets of [batch], packet [i] on output [ports.(i)]: contiguous
+      same-port runs as single transfers, {!consumed} ports skipped,
+      out-of-range ports to [on_invalid]. *)
 end
 
 val configure_error : string -> ('a, string) result

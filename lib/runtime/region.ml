@@ -1,5 +1,6 @@
-(* Declarative classification semantics an element may expose for
-   cross-element match-action fusion (lib/fdd). See region.mli. *)
+(* Per-packet statements of decision elements: the one description of a
+   push path that Element.decision derives push, push_batch and fuse
+   from, and that lib/fdd fuses across elements. See region.mli. *)
 
 module Tree = Oclick_classifier.Tree
 module Packet = Oclick_packet.Packet
@@ -7,6 +8,7 @@ module Packet = Oclick_packet.Packet
 type sem =
   | Classify of {
       cl_tree : Tree.t;
+      cl_walk : Packet.t -> int;
       cl_charge : int -> unit;
       cl_invalid : Packet.t -> unit;
     }
@@ -18,4 +20,7 @@ type sem =
       gd_run : Packet.t -> bool;
     }
   | Mutate of (Packet.t -> unit)
-  | Route of { rt_make : lean_work:bool -> Packet.t -> int }
+  | Route of {
+      rt_charge : int -> unit;
+      rt_make : charge:(int -> unit) -> Packet.t -> int;
+    }

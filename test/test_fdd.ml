@@ -57,6 +57,7 @@ type outcome = {
   o_faults : int;
   o_residual : int;
   o_injected : int;
+  o_ledger : Obs.stats list;  (** per-element obs ledger; [] when unobserved *)
 }
 
 let frame_bytes p = Packet.to_string p
@@ -76,7 +77,7 @@ let device_names graph =
     (Router.indices graph);
   List.rev !names
 
-let play ~ctx ~batch ~mode ~script graph =
+let play ?obs ~ctx ~batch ~mode ~script graph =
   let compile, fuse = mode_flags mode in
   let drops = Hashtbl.create 8 and spawns = ref 0 and faults = ref 0 in
   let hooks =
@@ -90,6 +91,7 @@ let play ~ctx ~batch ~mode ~script graph =
       on_fault = (fun ~idx:_ ~cls:_ ~reason:_ -> incr faults);
     }
   in
+  let hooks = match obs with Some o -> Obs.hooks o hooks | None -> hooks in
   let devs =
     Array.of_list
       (List.map
@@ -140,6 +142,7 @@ let play ~ctx ~batch ~mode ~script graph =
     o_faults = !faults;
     o_residual = !residual;
     o_injected = !injected;
+    o_ledger = (match obs with Some o -> Obs.snapshot o | None -> []);
   }
 
 let check_outcomes_equal ~ctx a b =
@@ -149,6 +152,7 @@ let check_outcomes_equal ~ctx a b =
   check (label "spawns") a.o_spawns b.o_spawns;
   check (label "contained faults") a.o_faults b.o_faults;
   check (label "residual") a.o_residual b.o_residual;
+  check_bool (label "obs ledgers") true (a.o_ledger = b.o_ledger);
   Array.iteri
     (fun i frames ->
       Alcotest.(check (list string))
@@ -168,8 +172,11 @@ let check_outcomes_equal ~ctx a b =
 (* Three-way comparison: interpreted is ground truth, compiled and fused
    must each replay it exactly (hence fused == compiled by transitivity,
    checked once more directly to localize failures). *)
-let check_three_way ~ctx ~batch ~script graph =
-  let out mode = play ~ctx:(Printf.sprintf "%s b%d" ctx batch) ~batch ~mode ~script graph in
+let check_three_way ?(ledger = false) ~ctx ~batch ~script graph =
+  let out mode =
+    let obs = if ledger then Some (Obs.create ()) else None in
+    play ?obs ~ctx:(Printf.sprintf "%s b%d" ctx batch) ~batch ~mode ~script graph
+  in
   let interp = out `Interp and compiled = out `Compile and fused = out `Fuse in
   check_outcomes_equal
     ~ctx:(Printf.sprintf "%s b%d interp/compiled" ctx batch)
@@ -293,6 +300,32 @@ let parse_exn name src =
   | Ok g -> g
   | Error e -> Alcotest.failf "%s: %s" name e
 
+(* The optimizer outputs of the two-interface router that put every
+   decision element on the datapath: FastClassifier classes
+   (click-fastclassifier), IPInputCombo/IPOutputCombo (click-xform with
+   the combination patterns), and LinearIPLookup in place of the trie. *)
+let optimized_ip_routers graph =
+  let ok what = function
+    | Ok (g, _) -> g
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let linear = Router.copy graph in
+  List.iter
+    (fun i ->
+      if Router.class_of linear i = "LookupIPRoute" then
+        Router.set_class linear i "LinearIPLookup")
+    (Router.indices linear);
+  [
+    ( "fastclassifier",
+      ok "click-fastclassifier" (Oclick_optim.Fastclassifier.run graph),
+      [ "FastClassifier@@" ] );
+    ( "xform combos",
+      ok "click-xform"
+        (Oclick_optim.Xform.run ~patterns:(Oclick_optim.Patterns.combos ()) graph),
+      [ "IPInputCombo"; "IPOutputCombo" ] );
+    ("linear lookup", linear, [ "LinearIPLookup" ]);
+  ]
+
 let test_example_configs_differential () =
   let configs = example_configs () in
   check_bool "found example configs" true (configs <> []);
@@ -310,7 +343,43 @@ let test_example_configs_differential () =
               graph
           done)
         batches)
-    configs
+    configs;
+  List.iter
+    (fun (name, graph, classes) ->
+      List.iter
+        (fun cls ->
+          check_bool
+            (Printf.sprintf "%s runs a %s" name cls)
+            true
+            (List.exists
+               (fun i -> String.starts_with ~prefix:cls (Router.class_of graph i))
+               (Router.indices graph)))
+        classes;
+      let ndev = List.length (device_names graph) in
+      for seed = 1 to 2 do
+        let script = make_script ~seed ~ndev in
+        let totals batch =
+          let o = play ~ctx:name ~batch ~mode:`Interp ~script graph in
+          (o.o_drops, Array.map List.length o.o_emitted)
+        in
+        List.iter
+          (fun batch ->
+            List.iter
+              (fun ledger ->
+                check_three_way ~ledger
+                  ~ctx:(Printf.sprintf "%s seed %d" name seed)
+                  ~batch ~script graph)
+              [ false; true ];
+            check_bool
+              (Printf.sprintf "%s seed %d: batch %d totals = scalar" name seed
+                 batch)
+              true
+              (totals batch = totals 1))
+          batches
+      done)
+    (optimized_ip_routers
+       (parse_exn "ip-router-2.click"
+          (List.assoc "ip-router-2.click" configs)))
 
 (* --- truncated packets through cascaded classifiers -------------------- *)
 

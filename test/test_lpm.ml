@@ -523,6 +523,36 @@ let test_scratch_reset_on_configure () =
   Alcotest.(check int) "pre-swap traffic on port 0" 64 c0;
   Alcotest.(check int) "post-swap traffic on port 1" 16 c1
 
+(* With no hooks installed, a scalar lookup must not box a work charge
+   nobody reads: pushing one packet through an interpreted LookupIPRoute
+   into a Discard allocates nothing per packet (measured the way
+   bench/membench.ml measures, with Gc.minor_words). *)
+let test_scalar_lookup_allocation_free () =
+  let d =
+    match
+      Driver.of_string
+        "Idle -> rt :: LookupIPRoute(10.0.0.0/8 0, 0.0.0.0/0 10.0.0.1 0);\n\
+         rt[0] -> Discard;"
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "instantiate: %s" e
+  in
+  let rt = Option.get (Driver.element d "rt") in
+  let p = Packet.create 64 in
+  let push () =
+    (Packet.anno p).Packet.dst_ip <- 0x0a000001;
+    rt#push 0 p
+  in
+  push ();
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    push ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 0.1 then
+    Alcotest.failf "scalar LookupIPRoute allocates %.2f minor words/packet" words
+
 (* --- multicore: conservation with a production-size table --- *)
 
 let test_domains2_conservation_100k () =
@@ -585,6 +615,8 @@ let element_tests =
       test_duplicate_prefix_first_wins;
     Alcotest.test_case "scratch reset on reconfigure" `Quick
       test_scratch_reset_on_configure;
+    Alcotest.test_case "scalar lookup allocation-free, null hooks" `Quick
+      test_scalar_lookup_allocation_free;
     qt prop_element_modes_agree;
     qt prop_element_churn;
   ]
