@@ -60,7 +60,27 @@ let tests () =
   let fused = make_driver ~compile:true () in
   let fc = Option.get (Oclick_runtime.Driver.element fused "c") in
   let small = Packet.create 60 in
-  [
+  (* Buffer alloc/recycle rung of the layer ladder: one frame's packet
+     layer cost — take a buffer from the pool, fill it, give it back —
+     on the off-heap slab and on heap Bytes, at the three frame sizes
+     the fig8 workloads inject. *)
+  let alloc_fill ~slab size =
+    let pool = Packet.Pool.create ~capacity:4 ~slab () in
+    let frame = String.make size '\x5a' in
+    Test.make
+      ~name:
+        (Printf.sprintf "packet/alloc+fill/%s/%d"
+           (if slab then "slab" else "heap")
+           size)
+      (Staged.stage (fun () ->
+           let p = Packet.Pool.alloc pool size in
+           Packet.set_string p ~pos:0 frame;
+           Packet.Pool.recycle pool p))
+  in
+  List.concat_map
+    (fun slab -> List.map (alloc_fill ~slab) [ 64; 576; 1500 ])
+    [ true; false ]
+  @ [
     Test.make ~name:"classifier/interp/firewall-DNS5"
       (Staged.stage (fun () -> Tree.classify fw dns5));
     Test.make ~name:"classifier/compiled/firewall-DNS5"

@@ -395,15 +395,14 @@ class ip_fragmenter name =
         let chunk = (mtu - hl) land lnot 7 in
         let base_frag_off = Ip.fragment_offset p in
         let more_after = Ip.more_fragments p in
-        let header = Packet.get_string p ~pos:0 ~len:hl in
         let rec emit off =
           if off < payload_len then begin
             let this_len = min chunk (payload_len - off) in
             let last = off + this_len >= payload_len in
             let frag = Packet.create ~headroom:36 (hl + this_len) in
-            Packet.set_string frag ~pos:0 header;
-            Packet.set_string frag ~pos:hl
-              (Packet.get_string p ~pos:(hl + off) ~len:this_len);
+            Packet.blit ~src:p ~src_pos:0 ~dst:frag ~dst_pos:0 ~len:hl;
+            Packet.blit ~src:p ~src_pos:(hl + off) ~dst:frag ~dst_pos:hl
+              ~len:this_len;
             self#charge (Hooks.W_copy (hl + this_len));
             Ip.set_total_length frag (hl + this_len);
             Ip.set_flags_fragment frag ~df:false
@@ -523,8 +522,7 @@ class icmp_error name =
         let ioff = Ip.min_header_length in
         Icmp.set_type ~off:ioff e icmp_type;
         Icmp.set_code ~off:ioff e icmp_code;
-        Packet.set_string e ~pos:(ioff + 8)
-          (Packet.get_string p ~pos:0 ~len:quoted);
+        Packet.blit ~src:p ~src_pos:0 ~dst:e ~dst_pos:(ioff + 8) ~len:quoted;
         Icmp.update_checksum ~off:ioff e ~len:icmp_len;
         self#charge (Hooks.W_checksum icmp_len);
         let anno = Packet.anno e in

@@ -149,10 +149,27 @@ let free_block t id =
 
 (* --- insert ---
 
-   Both recursions below work over a "level view": [read]/[write] access
-   the level's slot array (stage 1, or a 256-entry block), [base] is the
-   number of address bits consumed before this level, [bits] the bits
-   this level indexes. *)
+   Both recursions below work over a level: [lvl] names the level's slot
+   array — [stage1] for tbl1, else a 256-entry leaf block id — [base] is
+   the number of address bits consumed before this level, [bits] the bits
+   this level indexes. A span of slots is a direct loop over the level's
+   slab (no per-slot closure): a short prefix paints up to 2^24 stage-1
+   slots. *)
+
+let stage1 = -1
+
+(* The level's slab and the index of its slot 0. Only [alloc_block]
+   reallocates [t.blocks], so a span loop that never allocates a block
+   may keep the pair for its whole run. *)
+let level t lvl = if lvl = stage1 then (t.tbl1, 0) else (t.blocks, lvl * 256)
+
+let lget t lvl i =
+  let slots, o = level t lvl in
+  Int32.to_int (Array1.get slots (o + i))
+
+let lset t lvl i x =
+  let slots, o = level t lvl in
+  Array1.set slots (o + i) (Int32.of_int x)
 
 (* Overwrite every slot whose owner is a strictly shorter prefix than
    [len], across the whole block [b] and any blocks nested under it.
@@ -164,15 +181,17 @@ let rec paint_all_block t b ~len ~value =
     else if decoded_len v < len then bset t b j value
   done
 
-let rec paint t ~read ~write ~base ~bits ~addr ~len ~value =
+let rec paint t ~lvl ~base ~bits ~addr ~len ~value =
   if len <= base + bits then begin
     (* The route's range spans 2^(base+bits-len) whole slots here. *)
     let lo = (addr lsr (32 - base - bits)) land ((1 lsl bits) - 1) in
     let n = 1 lsl (base + bits - len) in
-    for i = lo to lo + n - 1 do
-      let v = read i in
+    let slots, o = level t lvl in
+    let x = Int32.of_int value in
+    for i = o + lo to o + lo + n - 1 do
+      let v = Int32.to_int (Array1.get slots i) in
       if is_leaf v then paint_all_block t (block_of v) ~len ~value
-      else if decoded_len v < len then write i value
+      else if decoded_len v < len then Array1.set slots i x
     done
   end
   else begin
@@ -180,17 +199,16 @@ let rec paint t ~read ~write ~base ~bits ~addr ~len ~value =
        leaf block on the path. A displaced terminal becomes the new
        block's fill so its covered range keeps resolving to it. *)
     let i = (addr lsr (32 - base - bits)) land ((1 lsl bits) - 1) in
-    let v = read i in
+    let v = lget t lvl i in
     let b =
       if is_leaf v then block_of v
       else begin
         let b = alloc_block t ~fill:v in
-        write i (leaf_bit lor b);
+        lset t lvl i (leaf_bit lor b);
         b
       end
     in
-    paint t ~read:(bget t b) ~write:(bset t b) ~base:(base + bits) ~bits:8
-      ~addr ~len ~value
+    paint t ~lvl:b ~base:(base + bits) ~bits:8 ~addr ~len ~value
   end
 
 let add t ~addr ~len ~gw ~port =
@@ -203,10 +221,7 @@ let add t ~addr ~len ~gw ~port =
     let nh = alloc_nh t ~gw ~port in
     Hashtbl.add t.routes key nh;
     t.nroutes <- t.nroutes + 1;
-    paint t
-      ~read:(fun i -> Int32.to_int (Array1.get t.tbl1 i))
-      ~write:(fun i x -> Array1.set t.tbl1 i (Int32.of_int x))
-      ~base:0 ~bits:t.stride1 ~addr ~len
+    paint t ~lvl:stage1 ~base:0 ~bits:t.stride1 ~addr ~len
       ~value:(encode_terminal ~len ~nh);
     `Added
   end
@@ -235,12 +250,14 @@ let rec unpaint_all_block t b ~len ~value =
     if is_leaf v then begin
       let bb = block_of v in
       unpaint_all_block t bb ~len ~value;
-      try_fold t ~write:(bset t b) ~i:j ~b:bb
+      try_fold t ~lvl:b ~i:j ~b:bb
     end
     else if v <> 0 && decoded_len v = len then bset t b j value
   done
 
-and try_fold t ~write ~i ~b =
+(* Fold block [b], the child of slot [i] of level [lvl], back into that
+   slot when its 256 entries are one and the same terminal. *)
+and try_fold t ~lvl ~i ~b =
   let first = bget t b 0 in
   if not (is_leaf first) then begin
     let uniform = ref true in
@@ -250,33 +267,34 @@ and try_fold t ~write ~i ~b =
       incr j
     done;
     if !uniform then begin
-      write i first;
+      lset t lvl i first;
       free_block t b
     end
   end
 
-let rec unpaint t ~read ~write ~base ~bits ~addr ~len ~value =
+let rec unpaint t ~lvl ~base ~bits ~addr ~len ~value =
   if len <= base + bits then begin
     let lo = (addr lsr (32 - base - bits)) land ((1 lsl bits) - 1) in
     let n = 1 lsl (base + bits - len) in
-    for i = lo to lo + n - 1 do
-      let v = read i in
+    let slots, o = level t lvl in
+    let x = Int32.of_int value in
+    for i = o + lo to o + lo + n - 1 do
+      let v = Int32.to_int (Array1.get slots i) in
       if is_leaf v then begin
         let b = block_of v in
         unpaint_all_block t b ~len ~value;
-        try_fold t ~write ~i ~b
+        try_fold t ~lvl ~i:(i - o) ~b
       end
-      else if v <> 0 && decoded_len v = len then write i value
+      else if v <> 0 && decoded_len v = len then Array1.set slots i x
     done
   end
   else begin
     let i = (addr lsr (32 - base - bits)) land ((1 lsl bits) - 1) in
-    let v = read i in
+    let v = lget t lvl i in
     if is_leaf v then begin
       let b = block_of v in
-      unpaint t ~read:(bget t b) ~write:(bset t b) ~base:(base + bits) ~bits:8
-        ~addr ~len ~value;
-      try_fold t ~write ~i ~b
+      unpaint t ~lvl:b ~base:(base + bits) ~bits:8 ~addr ~len ~value;
+      try_fold t ~lvl ~i ~b
     end
     (* A terminal here means the route's slots were never materialised at
        this depth — impossible for a live route, so nothing to undo. *)
@@ -293,10 +311,7 @@ let remove t ~addr ~len =
       Hashtbl.remove t.routes key;
       t.nroutes <- t.nroutes - 1;
       let value = covering_value t ~addr ~len in
-      unpaint t
-        ~read:(fun i -> Int32.to_int (Array1.get t.tbl1 i))
-        ~write:(fun i x -> Array1.set t.tbl1 i (Int32.of_int x))
-        ~base:0 ~bits:t.stride1 ~addr ~len ~value;
+      unpaint t ~lvl:stage1 ~base:0 ~bits:t.stride1 ~addr ~len ~value;
       free_nh t nh;
       true
 

@@ -1,3 +1,8 @@
+(* Packet buffers (DESIGN.md §10): a recyclable descriptor over an
+   off-heap slab slot or a heap [Bytes] buffer. Word accessors are inline
+   loads/stores under one range check; bulk fills and copies on a slab
+   are the C primitives of "bulk byte operations" below. *)
+
 type anno = {
   mutable paint : int;
   mutable dst_ip : Ipaddr.t;
@@ -21,7 +26,6 @@ external bs_get16u : bigstring -> int -> int = "%caml_bigstring_get16u"
 external bs_set16u : bigstring -> int -> int -> unit = "%caml_bigstring_set16u"
 external by_get16u : bytes -> int -> int = "%caml_bytes_get16u"
 external by_set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
-external st_get16u : string -> int -> int = "%caml_string_get16u"
 external swap16 : int -> int = "%bswap16"
 
 let[@inline] to_be16 v = if Sys.big_endian then v else swap16 v
@@ -139,53 +143,48 @@ let fresh_anno () =
 
 let default_headroom = 34
 
-(* --- cross-store blits -------------------------------------------------- *)
+(* --- bulk byte operations on slab windows -------------------------------
 
-(* All [blit_*] helpers assume ranges already validated by the caller. *)
+   Every bulk fill or copy that touches a slab goes through one C
+   primitive (lib/packet/packet_stubs.c): memset to zero, memcpy from a
+   string or bytes, memcpy to bytes, and memmove between (or within)
+   bigstrings — so slab packets fill and copy at the same libc speed the
+   heap representation gets from [Bytes.fill]/[Bytes.blit].
 
-let blit_big_to_bytes (src : bigstring) srcoff dst dstoff len =
-  let i = ref 0 in
-  while !i + 2 <= len do
-    by_set16u dst (dstoff + !i) (bs_get16u src (srcoff + !i));
-    i := !i + 2
-  done;
-  if !i < len then
-    Bytes.unsafe_set dst (dstoff + !i)
-      (Bigarray.Array1.unsafe_get src (srcoff + !i))
+   Contract: the caller has already validated the range ([check p pos
+   len], [Pool.alloc]'s size checks, a window inside its buffer); the
+   primitives check nothing, never raise and never allocate. *)
 
-let blit_bytes_to_big src srcoff (dst : bigstring) dstoff len =
-  let i = ref 0 in
-  while !i + 2 <= len do
-    bs_set16u dst (dstoff + !i) (by_get16u src (srcoff + !i));
-    i := !i + 2
-  done;
-  if !i < len then
-    Bigarray.Array1.unsafe_set dst (dstoff + !i)
-      (Bytes.unsafe_get src (srcoff + !i))
+external fill_zero_big :
+  bigstring -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "oclick_big_zero_byte" "oclick_big_zero"
+[@@noalloc]
 
-let blit_string_to_big src srcoff (dst : bigstring) dstoff len =
-  let i = ref 0 in
-  while !i + 2 <= len do
-    bs_set16u dst (dstoff + !i) (st_get16u src (srcoff + !i));
-    i := !i + 2
-  done;
-  if !i < len then
-    Bigarray.Array1.unsafe_set dst (dstoff + !i)
-      (String.unsafe_get src (srcoff + !i))
+external blit_string_to_big :
+  string -> (int[@untagged]) -> bigstring -> (int[@untagged]) ->
+  (int[@untagged]) -> unit
+  = "oclick_blit_to_big_byte" "oclick_blit_to_big"
+[@@noalloc]
 
-(* Slab-to-slab copy: a single memmove (overlap-safe), not a byte loop. *)
-let blit_big_to_big (src : bigstring) srcoff (dst : bigstring) dstoff len =
-  if len > 0 then
-    Bigarray.Array1.(blit (sub src srcoff len) (sub dst dstoff len))
+external blit_bytes_to_big :
+  bytes -> (int[@untagged]) -> bigstring -> (int[@untagged]) ->
+  (int[@untagged]) -> unit
+  = "oclick_blit_to_big_byte" "oclick_blit_to_big"
+[@@noalloc]
 
-let fill_zero_big (big : bigstring) off len =
-  let stop = off + len in
-  let i = ref off in
-  while !i + 2 <= stop do
-    bs_set16u big !i 0;
-    i := !i + 2
-  done;
-  if !i < stop then Bigarray.Array1.unsafe_set big !i '\000'
+external blit_big_to_bytes :
+  bigstring -> (int[@untagged]) -> bytes -> (int[@untagged]) ->
+  (int[@untagged]) -> unit
+  = "oclick_blit_big_to_bytes_byte" "oclick_blit_big_to_bytes"
+[@@noalloc]
+
+(* Overlap-safe: [grow]'s in-slot shift and a blit within one packet
+   copy between overlapping ranges of the same slab. *)
+external blit_big_to_big :
+  bigstring -> (int[@untagged]) -> bigstring -> (int[@untagged]) ->
+  (int[@untagged]) -> unit
+  = "oclick_blit_big_to_big_byte" "oclick_blit_big_to_big"
+[@@noalloc]
 
 (* --- slot lifecycle ----------------------------------------------------- *)
 

@@ -520,6 +520,148 @@ let prop_slab_demotion_preserves_window =
       Packet.pull p n;
       (not (Packet.is_off_heap p)) && Packet.to_string p = data)
 
+(* --- bulk byte operations --------------------------------------------------
+
+   Slab fills and copies go through unchecked C primitives, so every bulk
+   operation is compared, on both representations, against a plain
+   [Bytes] reference, and the slab paths are held to zero allocation. *)
+
+(* Minor words per call of [f], after one warm-up call. *)
+let minor_words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let pattern ~seed len =
+  String.init len (fun i -> Char.chr ((seed + (7 * i)) land 0xff))
+
+let test_slab_blit_allocation_free () =
+  let pool = Packet.Pool.create ~capacity:4 () in
+  let src = Packet.Pool.alloc pool 64 and dst = Packet.Pool.alloc pool 64 in
+  Packet.set_string src ~pos:0 (pattern ~seed:3 64);
+  check_bool "both off-heap" true
+    (Packet.is_off_heap src && Packet.is_off_heap dst);
+  let words =
+    minor_words_per_call 10_000 (fun () ->
+        Packet.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:64)
+  in
+  if words > 0.01 then
+    Alcotest.failf "slab->slab Packet.blit allocates %.2f minor words/call"
+      words;
+  check_str "copied" (Packet.to_string src) (Packet.to_string dst)
+
+let test_slab_overlapping_blit () =
+  let data = pattern ~seed:11 40 in
+  List.iter
+    (fun (src_pos, dst_pos, len) ->
+      let p = slab_packet data in
+      let r = Bytes.of_string data in
+      Packet.blit ~src:p ~src_pos ~dst:p ~dst_pos ~len;
+      Bytes.blit r src_pos r dst_pos len;
+      check_bool "still off-heap" true (Packet.is_off_heap p);
+      check_str
+        (Printf.sprintf "blit %d -> %d len %d" src_pos dst_pos len)
+        (Bytes.to_string r) (Packet.to_string p))
+    [ (0, 3, 30); (3, 0, 30); (1, 2, 38); (2, 1, 38); (5, 5, 20) ]
+
+let test_slab_alloc_fill_allocation_free () =
+  let pool = Packet.Pool.create ~capacity:4 () in
+  let data = pattern ~seed:5 1500 in
+  let words =
+    minor_words_per_call 10_000 (fun () ->
+        let p = Packet.Pool.alloc pool 1500 in
+        Packet.set_string p ~pos:0 data;
+        Packet.Pool.recycle pool p)
+  in
+  let p = Packet.Pool.alloc pool 1500 in
+  check_bool "slab path" true (Packet.is_off_heap p);
+  if words > 0.01 then
+    Alcotest.failf "1500-B slab alloc+set_string+recycle allocates %.2f words"
+      words
+
+(* Window length [len] at window offset [off]: a packet of [len + 4]
+   bytes, so [off] in 0..3 puts the data at odd and even offsets. *)
+let gen_bulk_case =
+  QCheck.Gen.(
+    triple
+      (oneof [ int_range 0 40; return 576; return 1500 ])
+      (int_range 0 3) (int_bound 255))
+
+let prop_bulk_ops_match_reference =
+  QCheck.Test.make ~count:300
+    ~name:"bulk ops: slab == heap == Bytes reference"
+    (QCheck.make gen_bulk_case
+       ~print:(fun (len, off, seed) ->
+         Printf.sprintf "len %d off %d seed %d" len off seed))
+    (fun (len, off, seed) ->
+      let n = len + 4 in
+      let data = pattern ~seed len in
+      let slab_pool = Packet.Pool.create ~capacity:8 () in
+      let heap_pool = Packet.Pool.create ~capacity:8 ~slab:false () in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+      let expect what r p =
+        if Packet.to_string p <> Bytes.to_string r then
+          fail "%s (%s): window differs from reference" what
+            (if Packet.is_off_heap p then "slab" else "heap")
+      in
+      let filled pool =
+        let p = Packet.Pool.alloc pool n in
+        Packet.set_string p ~pos:off data;
+        p
+      in
+      let reference () =
+        let r = Bytes.make n '\000' in
+        Bytes.blit_string data 0 r off len;
+        r
+      in
+      let slab = filled slab_pool and heap = filled heap_pool in
+      if not (Packet.is_off_heap slab && not (Packet.is_off_heap heap)) then
+        fail "representations not as intended";
+      List.iter
+        (fun p ->
+          expect "set_string" (reference ()) p;
+          if Packet.get_string p ~pos:off ~len <> data then fail "get_string";
+          expect "clone" (reference ()) (Packet.clone p))
+        [ slab; heap ];
+      if not (Packet.is_off_heap (Packet.clone slab)) then
+        fail "slab clone left the arena";
+      (* All four source/destination representation pairs. *)
+      List.iter
+        (fun (src, dst_pool) ->
+          let dst = Packet.Pool.alloc dst_pool n in
+          Packet.set_string dst ~pos:0 (pattern ~seed:(seed + 1) n);
+          let r = Bytes.of_string (pattern ~seed:(seed + 1) n) in
+          let dst_pos = 3 - off in
+          Packet.blit ~src ~src_pos:off ~dst ~dst_pos ~len;
+          Bytes.blit_string data 0 r dst_pos len;
+          expect "blit" r dst)
+        [
+          (slab, slab_pool); (slab, heap_pool); (heap, slab_pool);
+          (heap, heap_pool);
+        ];
+      (* put's zero fill over bytes that held data. *)
+      List.iter
+        (fun p ->
+          Packet.take p (n - off);
+          Packet.put p (n - off);
+          let r = reference () in
+          Bytes.fill r off (n - off) '\000';
+          expect "put" r p)
+        [ slab; heap ];
+      (* A recycled, dirtied buffer comes back zeroed. *)
+      List.iter
+        (fun pool ->
+          let dirty = Packet.Pool.alloc pool 1500 in
+          Packet.set_string dirty ~pos:0 (String.make 1500 '\xff');
+          Packet.Pool.recycle pool dirty;
+          expect "alloc after recycle" (Bytes.make len '\000')
+            (Packet.Pool.alloc pool len))
+        [ slab_pool; heap_pool ];
+      true)
+
 let () =
   Alcotest.run "packet"
     [
@@ -574,6 +716,15 @@ let () =
           Alcotest.test_case "bounds, both representations" `Quick
             test_window_edge_bounds_both;
         ] );
+      ( "bulk",
+        [
+          Alcotest.test_case "slab->slab blit allocation-free" `Quick
+            test_slab_blit_allocation_free;
+          Alcotest.test_case "overlapping slab blit" `Quick
+            test_slab_overlapping_blit;
+          Alcotest.test_case "1500-B slab alloc+fill allocation-free" `Quick
+            test_slab_alloc_fill_allocation_free;
+        ] );
       ( "headers",
         [
           Alcotest.test_case "ether encap" `Quick test_ether_encap;
@@ -595,5 +746,6 @@ let () =
             prop_u32_byte_consistency;
             prop_slab_heap_identical;
             prop_slab_demotion_preserves_window;
+            prop_bulk_ops_match_reference;
           ] );
     ]
